@@ -118,6 +118,21 @@ echo "== hetero smoke: committed mixed-fleet goodput-per-dollar point =="
 # (a session whose latency budget no available device class can hold).
 cargo run --release -q -p bench --bin hetero_smoke
 
+# ci-step: perfbench
+echo "== perfbench: benchmark tests + a short fig13-10k correctness run =="
+# The repository benchmark (perfbench/, a package of its own) must pass its
+# own tests and finish a short fig13-10k run with every correctness check
+# holding: per-session conservation, and every repetition reproducing the
+# first one's fingerprint. Its last line is a JSON verdict; timing is never
+# gated.
+cargo test --offline --manifest-path perfbench/Cargo.toml
+perf_last="$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+  --workload fig13-10k --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+case "$perf_last" in
+  *'"correct": true,'*'"failed": 0,'*) echo "perfbench fig13-10k: correct, 0 failed" ;;
+  *) echo "perfbench fig13-10k run failed a correctness check: $perf_last"; exit 1 ;;
+esac
+
 # ci-step: drift-check
 echo "== ci.sh <-> ci.yml drift check =="
 # Every gated step carries a `ci-step:` marker in both this script and the

@@ -19,10 +19,11 @@
 //! The full ladder runs 25/50/100/1000 GPUs at the configured horizon plus
 //! a 10k-GPU point at a quick-mode horizon (its full-length run would
 //! dominate the whole benchmark for no extra signal — per-event cost is
-//! horizon-independent). The two big points additionally re-run at 2 and 4
-//! worker threads — always, regardless of `--threads`, so the det-out row
-//! set never depends on the flag — and report the parallel executor's
-//! work-partition statistics next to the throughput numbers.
+//! horizon-independent), and prints the 10k/1k per-event cost ratio. The
+//! two big points additionally re-run at 2 and 4 worker threads — always,
+//! regardless of `--threads`, so the det-out row set never depends on the
+//! flag — and report the parallel executor's work-partition statistics
+//! next to the throughput numbers.
 //!
 //! Usage: `cargo run --release -p bench --bin simbench --
 //!     [--secs N] [--quick] [--shards N] [--threads N]
@@ -221,6 +222,22 @@ fn main() {
          repetitions of each point; Mevents/s and sim-s/wall-s are the \
          throughput baselines tracked in bench_results/simbench.json."
     );
+
+    // Per-event cost across fleet sizes: per-request work that grows with
+    // the cluster (e.g. scanning every replica of a route) shows up here
+    // as a 10k/1k ratio well above 1.
+    let ns_per_event = |gpus: u32| {
+        points
+            .iter()
+            .find(|p| p.gpus == gpus && p.threads == args.threads)
+            .map(|p| p.wall_best / p.events as f64 * 1e9)
+    };
+    if let (Some(small), Some(big)) = (ns_per_event(1_000), ns_per_event(10_000)) {
+        println!(
+            "\nPer-event cost, 10000 vs 1000 GPUs: {big:.0} ns vs {small:.0} ns ({:.2}x).",
+            big / small
+        );
+    }
 
     let partition_lines: Vec<String> = points
         .iter()

@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::config::SystemConfig;
-use crate::control::{plan, plan_pooled, ControlPlan, PlanError, TrafficClass};
+use crate::control::{plan, plan_pooled, ControlPlan, PlanError, RouteTarget, TrafficClass};
 use crate::dispatch::{classify_drop, BatchPull, DropPolicy, MiniBatch, SessionQueue};
 use crate::hetero::DevicePool;
 use crate::metrics::ClusterMetrics;
@@ -271,39 +271,93 @@ impl Backend {
 /// that perfect interleaving would cause (every replica's batch filling at
 /// the same instant, emitting synchronized downstream bursts) is broken at
 /// the backends instead, by jittering effective batch sizes.
-struct RouteTargetState {
-    backend: usize,
-    weight: f64,
-    credit: f64,
-}
-
-struct Route {
-    /// Replica targets with their live WRR credit, one contiguous array so
-    /// the per-request scan touches a single cache stream.
-    targets: Vec<RouteTargetState>,
-    /// Sum of target weights, fixed per deployment. Precomputed with the
-    /// same left-to-right summation `pick` used to do inline, so the pick
-    /// sequence is bit-identical — just without re-summing per request.
+///
+/// The state is kept per *weight class* rather than per replica. Squishy
+/// packing fills all but one replica of a session to the same saturated
+/// rate, so a route's weights take one or two distinct values even at a
+/// fan-out of hundreds. Replicas of equal weight accrue equal credit every
+/// pick, so among them the one with the best stagger rank (see
+/// [`Route::new`]) always leads, and they are served in rank order
+/// until each has had one turn; only then does the class as a whole pay
+/// its `total`. A class therefore needs one credit and a cursor over its
+/// members, and a pick costs O(distinct weights), not O(replicas). In
+/// exact arithmetic this is the per-replica smooth-WRR scan it replaces,
+/// pick for pick (`proptests::class_wrr_*` keep that scan as an oracle).
+pub(crate) struct Route {
+    classes: Vec<WeightClass>,
+    /// Sum of target weights, fixed per deployment, summed left to right
+    /// over the plan's target order.
     total: f64,
 }
 
+/// Replicas of one route that share a bit-equal weight.
+struct WeightClass {
+    weight: f64,
+    /// WRR credit of the class's head member: raised by `weight` every
+    /// pick, lowered by the route `total` once per full turn of members.
+    credit: f64,
+    /// `(rank, backend)` in ascending stagger rank.
+    members: Vec<(u32, usize)>,
+    /// Index into `members` of the next replica to serve.
+    cursor: usize,
+}
+
 impl Route {
-    fn pick(&mut self, _rng: &mut StdRng) -> Option<usize> {
-        // Tracking the best credit in a local is exact: a target's credit
-        // only changes at its own iteration, so the cached value cannot go
-        // stale before the scan ends.
-        let mut best = 0;
-        let mut best_credit = f64::NEG_INFINITY;
-        for (i, t) in self.targets.iter_mut().enumerate() {
-            t.credit += t.weight;
-            if i == 0 || t.credit > best_credit {
-                best = i;
-                best_credit = t.credit;
+    /// Frontend `fe`'s state for a route over `targets`. Frontends rank
+    /// target `j` at `(j + fe) % n` so their round-robin positions
+    /// interleave rather than march in lockstep; the rank breaks credit
+    /// ties between classes, standing for the per-replica scan's
+    /// `-rank · 1e-6` starting credits. Walking the targets in rank order
+    /// fills every class's members already sorted, in one pass.
+    pub(crate) fn new(targets: &[RouteTarget], fe: usize) -> Route {
+        let n = targets.len();
+        let mut classes: Vec<WeightClass> = Vec::new();
+        for rank in 0..n {
+            let t = &targets[(rank + n - fe % n) % n];
+            let member = (rank as u32, t.backend);
+            match classes
+                .iter_mut()
+                .find(|c| c.weight.to_bits() == t.weight.to_bits())
+            {
+                Some(c) => c.members.push(member),
+                None => classes.push(WeightClass {
+                    weight: t.weight,
+                    credit: 0.0,
+                    members: vec![member],
+                    cursor: 0,
+                }),
             }
         }
-        let t = self.targets.get_mut(best)?;
-        t.credit -= self.total;
-        Some(t.backend)
+        Route {
+            classes,
+            total: targets.iter().map(|t| t.weight).sum(),
+        }
+    }
+
+    /// Next replica backend, or `None` for an empty route.
+    pub(crate) fn pick(&mut self) -> Option<usize> {
+        // Tracking the best class in locals is exact: a class's credit and
+        // head only change at its own iteration.
+        let mut best = 0;
+        let mut best_credit = f64::NEG_INFINITY;
+        let mut best_rank = u32::MAX;
+        for (k, c) in self.classes.iter_mut().enumerate() {
+            c.credit += c.weight;
+            let rank = c.members[c.cursor].0;
+            if k == 0 || c.credit > best_credit || (c.credit == best_credit && rank < best_rank) {
+                best = k;
+                best_credit = c.credit;
+                best_rank = rank;
+            }
+        }
+        let c = self.classes.get_mut(best)?;
+        let backend = c.members[c.cursor].1;
+        c.cursor += 1;
+        if c.cursor == c.members.len() {
+            c.cursor = 0;
+            c.credit -= self.total;
+        }
+        Some(backend)
     }
 }
 
@@ -444,7 +498,6 @@ pub struct ClusterSim {
     arrivals: Vec<ArrivalGen>,
     arrival_rng: Vec<StdRng>,
     gamma_rng: StdRng,
-    route_rng: StdRng,
     tracker: QueryTracker,
     metrics: ClusterMetrics,
     next_request: u64,
@@ -641,7 +694,6 @@ impl ClusterSim {
         let mut metrics = ClusterMetrics::new(Micros::from_secs(1));
         metrics.record_allocation(Micros::ZERO, control.gpu_count() as u32);
         let gamma_rng = rng_for(cfg.seed, 0xFA_0000);
-        let route_rng = rng_for(cfg.seed, 0xFB_0000);
         let n_classes = classes.len();
         let cfg2_trace = cfg.trace_capacity;
         let fleet = FleetHealth::new(cfg.max_gpus as usize);
@@ -674,7 +726,6 @@ impl ClusterSim {
             arrivals,
             arrival_rng,
             gamma_rng,
-            route_rng,
             tracker: QueryTracker::new(),
             metrics,
             next_request: 0,
@@ -815,7 +866,7 @@ impl ClusterSim {
             });
         }
         let fe = self.take_frontend();
-        match self.routes[fe][session.0 as usize].pick(&mut self.route_rng) {
+        match self.routes[fe][session.0 as usize].pick() {
             Some(backend) => {
                 let slot = self.backends[backend]
                     .slot_of(session)
@@ -1641,7 +1692,7 @@ impl ClusterSim {
         self.control = next;
         for req in orphans {
             let fe = self.take_frontend();
-            match self.routes[fe][req.session.0 as usize].pick(&mut self.route_rng) {
+            match self.routes[fe][req.session.0 as usize].pick() {
                 Some(backend) => {
                     let slot = self.backends[backend]
                         .slot_of(req.session)
@@ -1865,7 +1916,7 @@ impl ClusterSim {
         let exec = &self.control.sessions[session.0 as usize].exec_profile;
         if req.deadline >= now + BatchLadder::from_profile(exec).min_latency() {
             let fe = self.take_frontend();
-            if let Some(backend) = self.routes[fe][session.0 as usize].pick(&mut self.route_rng) {
+            if let Some(backend) = self.routes[fe][session.0 as usize].pick() {
                 if let Some(tr) = &mut self.trace {
                     tr.push(TraceEvent::Retry {
                         t: now,
@@ -2339,41 +2390,11 @@ fn build_backends(control: &ControlPlan, system: &SystemConfig) -> Vec<Backend> 
     backends
 }
 
-fn build_routes(control: &ControlPlan) -> Vec<Route> {
-    control
-        .routes
-        .iter()
-        .map(|targets| Route {
-            targets: targets
-                .iter()
-                .map(|t| RouteTargetState {
-                    backend: t.backend,
-                    weight: t.weight,
-                    credit: 0.0,
-                })
-                .collect(),
-            total: targets.iter().map(|t| t.weight).sum(),
-        })
-        .collect()
-}
-
-/// One routing table per frontend replica; frontends start with offset
-/// credits so their round-robin positions interleave rather than march in
-/// lockstep.
+/// One routing table per frontend replica, each ranking the targets by
+/// its own stagger (see [`Route::new`]).
 fn build_frontends(control: &ControlPlan, frontends: u32) -> Vec<Vec<Route>> {
-    (0..frontends.max(1))
-        .map(|fe| {
-            let mut routes = build_routes(control);
-            for r in &mut routes {
-                let n = r.targets.len();
-                if n > 1 {
-                    for (i, t) in r.targets.iter_mut().enumerate() {
-                        t.credit = -(((i + fe as usize) % n) as f64) * 1e-6;
-                    }
-                }
-            }
-            routes
-        })
+    (0..frontends.max(1) as usize)
+        .map(|fe| control.routes.iter().map(|t| Route::new(t, fe)).collect())
         .collect()
 }
 

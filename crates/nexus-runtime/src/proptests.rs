@@ -1,5 +1,6 @@
 //! Property-based tests for the data-plane primitives: requests are
-//! conserved through every dispatch policy, query tracking closes, and
+//! conserved through every dispatch policy, query tracking closes, the
+//! weight-class WRR router reproduces the per-replica scan it replaced, and
 //! full simulations — including injected GPU faults — replay bit-identically
 //! from the same seed.
 
@@ -12,9 +13,9 @@ use nexus_profile::{BatchingProfile, Micros, GPU_GTX1080TI};
 use nexus_scheduler::SessionId;
 use nexus_simgpu::{FaultKind, FaultSpec};
 
-use crate::cluster::{ClusterSim, SimConfig};
+use crate::cluster::{ClusterSim, Route, SimConfig};
 use crate::config::SystemConfig;
-use crate::control::TrafficClass;
+use crate::control::{RouteTarget, TrafficClass};
 use crate::dispatch::{DropPolicy, SessionQueue};
 use crate::request::{QueryTracker, Request, RequestId, RequestOutcome};
 use nexus_workload::{apps, ArrivalKind};
@@ -574,5 +575,168 @@ proptest! {
         prop_assert_eq!(a.query_bad_rate.to_bits(), b.query_bad_rate.to_bits());
         prop_assert_eq!(a.metrics.failures(), b.metrics.failures());
         prop_assert_eq!(a.metrics.timeline(), b.metrics.timeline());
+    }
+}
+
+/// The per-replica smooth-WRR scan that [`Route`] replaced, kept as its
+/// oracle: every pick raises every target's credit by its weight and takes
+/// the highest (first on ties); frontend `fe` starts target `j` at
+/// `-((j + fe) % n) · 1e-6`.
+struct ScanRoute {
+    /// `(backend, weight, credit)` per target, in plan order.
+    targets: Vec<(usize, f64, f64)>,
+    total: f64,
+}
+
+impl ScanRoute {
+    fn new(targets: &[RouteTarget], fe: usize) -> ScanRoute {
+        let n = targets.len();
+        ScanRoute {
+            targets: targets
+                .iter()
+                .enumerate()
+                .map(|(j, t)| (t.backend, t.weight, -(((j + fe) % n) as f64) * 1e-6))
+                .collect(),
+            total: targets.iter().map(|t| t.weight).sum(),
+        }
+    }
+
+    fn pick(&mut self) -> Option<usize> {
+        let mut best = 0;
+        let mut best_credit = f64::NEG_INFINITY;
+        for (i, t) in self.targets.iter_mut().enumerate() {
+            t.2 += t.1;
+            if i == 0 || t.2 > best_credit {
+                best = i;
+                best_credit = t.2;
+            }
+        }
+        let t = self.targets.get_mut(best)?;
+        t.2 -= self.total;
+        Some(t.0)
+    }
+}
+
+/// Targets `backend = j` with weight `values[class[j] % values.len()]`.
+fn class_targets(values: &[f64], class: &[usize]) -> Vec<RouteTarget> {
+    class
+        .iter()
+        .enumerate()
+        .map(|(j, &k)| RouteTarget {
+            backend: j,
+            weight: values[k % values.len()],
+        })
+        .collect()
+}
+
+/// Enough picks for the lightest class to finish a full turn of its
+/// members (`total / lightest weight`), capped at `cap`.
+fn turn_picks(targets: &[RouteTarget], cap: usize) -> usize {
+    let total: f64 = targets.iter().map(|t| t.weight).sum();
+    let lightest = targets
+        .iter()
+        .map(|t| t.weight)
+        .fold(f64::INFINITY, f64::min);
+    ((total / lightest).ceil() as usize + 16).min(cap)
+}
+
+/// Largest per-target lag `|picks_i − N·w_i/W|` over every prefix `N` of
+/// the pick sequence, one entry per prefix.
+fn prefix_lags(targets: &[RouteTarget], picks: &[usize]) -> Vec<f64> {
+    let total: f64 = targets.iter().map(|t| t.weight).sum();
+    let mut counts = vec![0u64; targets.len()];
+    picks
+        .iter()
+        .enumerate()
+        .map(|(i, &b)| {
+            counts[b] += 1;
+            let n = (i + 1) as f64;
+            targets
+                .iter()
+                .zip(&counts)
+                .map(|(t, &c)| (c as f64 - n * t.weight / total).abs())
+                .fold(0.0, f64::max)
+        })
+        .collect()
+}
+
+fn class_picks(targets: &[RouteTarget], fe: usize, n: usize) -> Vec<Option<usize>> {
+    let mut route = Route::new(targets, fe);
+    (0..n).map(|_| route.pick()).collect()
+}
+
+fn scan_picks(targets: &[RouteTarget], fe: usize, n: usize) -> Vec<Option<usize>> {
+    let mut route = ScanRoute::new(targets, fe);
+    (0..n).map(|_| route.pick()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// With integer weights every credit is exact up to the oracle's
+    /// `1e-6` stagger offsets, so the weight-class picker must emit the
+    /// per-replica scan's sequence pick for pick, for every frontend's
+    /// stagger, through full turns of every class.
+    #[test]
+    fn class_wrr_matches_scan_on_integer_weights(
+        values in prop::collection::vec(1u32..7, 1..4),
+        class in prop::collection::vec(0usize..3, 1..801),
+        fe in 0usize..4,
+    ) {
+        let values: Vec<f64> = values.into_iter().map(f64::from).collect();
+        let targets = class_targets(&values, &class);
+        let n = turn_picks(&targets, usize::MAX);
+        prop_assert_eq!(class_picks(&targets, fe, n), scan_picks(&targets, fe, n));
+    }
+
+    /// All-distinct weights are the picker's worst case — one class per
+    /// replica — and it still reproduces the scan.
+    #[test]
+    fn class_wrr_matches_scan_on_distinct_weights(
+        steps in prop::collection::vec(1u32..50, 1..60),
+        rotate in 0usize..60,
+        fe in 0usize..4,
+    ) {
+        let mut acc = 0.0;
+        let mut values: Vec<f64> = steps
+            .iter()
+            .map(|&s| {
+                acc += f64::from(s);
+                acc
+            })
+            .collect();
+        let len = values.len();
+        values.rotate_left(rotate % len);
+        let class: Vec<usize> = (0..values.len()).collect();
+        let targets = class_targets(&values, &class);
+        let n = turn_picks(&targets, 4_000);
+        prop_assert_eq!(class_picks(&targets, fe, n), scan_picks(&targets, fe, n));
+    }
+
+    /// With arbitrary float weights the two pickers round differently and
+    /// may part ways at near-ties, but the class picker is never less
+    /// balanced: on every prefix its worst per-replica lag stays within
+    /// 1e-9 of the scan's.
+    #[test]
+    fn class_wrr_lag_within_scan_on_float_weights(
+        values in prop::collection::vec(0.01f64..1_000.0, 1..4),
+        class in prop::collection::vec(0usize..3, 1..200),
+        fe in 0usize..4,
+    ) {
+        let targets = class_targets(&values, &class);
+        let n = turn_picks(&targets, 5_000);
+        let unwrap = |p: Vec<Option<usize>>| p.into_iter().map(Option::unwrap).collect::<Vec<_>>();
+        let class_lag = prefix_lags(&targets, &unwrap(class_picks(&targets, fe, n)));
+        let scan_lag = prefix_lags(&targets, &unwrap(scan_picks(&targets, fe, n)));
+        for (i, (c, s)) in class_lag.iter().zip(&scan_lag).enumerate() {
+            prop_assert!(c <= &(s + 1e-9), "prefix {}: class lag {} > scan lag {}", i + 1, c, s);
+        }
+    }
+
+    /// An empty route has nothing to pick, at any frontend.
+    #[test]
+    fn class_wrr_empty_route_picks_none(fe in 0usize..4) {
+        prop_assert_eq!(class_picks(&[], fe, 3), vec![None; 3]);
+        prop_assert_eq!(scan_picks(&[], fe, 3), vec![None; 3]);
     }
 }
