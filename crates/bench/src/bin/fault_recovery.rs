@@ -67,8 +67,8 @@ fn main() {
             warmup,
             trace_capacity: 0,
             faults,
-            shards: nexus::default_shards(),
-            threads: nexus::default_threads(),
+            shards: 1,
+            threads: 1,
         },
         classes,
     )
@@ -226,8 +226,8 @@ fn run_flap_once(seed: u64, cooldown: Micros) -> (SimResult, u64) {
             warmup: Micros::from_secs(WARMUP_S),
             trace_capacity: 1 << 21,
             faults,
-            shards: nexus::default_shards(),
-            threads: nexus::default_threads(),
+            shards: 1,
+            threads: 1,
         },
         vec![TrafficClass::new(
             apps::traffic(),

@@ -13,26 +13,19 @@
 //! numbers are minima over noise, not means). Simulation outputs are
 //! asserted bit-identical across repetitions, so every `simbench` run is
 //! also a cheap determinism check; `--det-out` writes the deterministic
-//! outputs alone, and ci.sh byte-diffs `--shards 1` against `--shards 4`
-//! and `--threads 1` against `--threads 4`.
+//! outputs alone.
 //!
 //! The full ladder runs 25/50/100/1000 GPUs at the configured horizon plus
 //! a 10k-GPU point at a quick-mode horizon (its full-length run would
 //! dominate the whole benchmark for no extra signal — per-event cost is
-//! horizon-independent), and prints the 10k/1k per-event cost ratio. The
-//! two big points additionally re-run at 2 and 4 worker threads — always,
-//! regardless of `--threads`, so the det-out row set never depends on the
-//! flag — and report the parallel executor's work-partition statistics
-//! next to the throughput numbers.
+//! horizon-independent), and prints the 10k/1k per-event cost ratio.
 //!
 //! Usage: `cargo run --release -p bench --bin simbench --
-//!     [--secs N] [--quick] [--shards N] [--threads N]
-//!     [--out FILE] [--det-out FILE]`
+//!     [--secs N] [--quick] [--out FILE] [--det-out FILE]`
 
 use std::time::Instant;
 
 use bench::{fig13_classes, print_table, write_det_json, write_json, Args};
-use nexus::nexus_runtime::ExecStats;
 use nexus::prelude::*;
 use nexus_profile::{Micros, GPU_K80};
 
@@ -43,25 +36,17 @@ const REPS: usize = 3;
 /// Measured-second cap for the 10k-GPU point (quick-mode length).
 const BIG_POINT_SECS: u64 = 10;
 
-/// Thread counts the big scaling points always re-run at (in addition to
-/// `--threads` for the base ladder).
-const SCALING_THREADS: [usize; 2] = [2, 4];
-
 struct Point {
     gpus: u32,
-    threads: usize,
     events: u64,
     wall_best: f64,
     query_bad_rate: f64,
     /// Measured (post-warmup) simulated seconds for this point — the big
     /// points run shorter horizons than the rest of the ladder.
     sim_secs: u64,
-    /// Work-partition statistics from the windowed parallel executor
-    /// (`None` when `threads == 1`: the serial loop has no windows).
-    stats: Option<ExecStats>,
 }
 
-fn run_point(gpus: u32, sim_secs: u64, shards: usize, threads: usize, args: &Args) -> Point {
+fn run_point(gpus: u32, sim_secs: u64, args: &Args) -> Point {
     // Per-point horizon: same warmup rule as `Args::{horizon,warmup}`,
     // applied to this point's measured length.
     let warmup_secs = (sim_secs / 4).clamp(2, 10);
@@ -72,7 +57,7 @@ fn run_point(gpus: u32, sim_secs: u64, shards: usize, threads: usize, args: &Arg
     for _ in 0..REPS {
         let classes = fig13_classes(horizon, scale);
         let t0 = Instant::now();
-        let (result, stats) = nexus::run_once_with_stats(
+        let result = nexus::run_once(
             SystemConfig::nexus()
                 .with_epoch(Micros::from_secs(30))
                 .with_spread_factor(1.4),
@@ -82,8 +67,6 @@ fn run_point(gpus: u32, sim_secs: u64, shards: usize, threads: usize, args: &Arg
             args.seed,
             warmup,
             horizon,
-            shards,
-            threads,
         );
         let wall = t0.elapsed().as_secs_f64();
         if let Some(prev) = &best {
@@ -100,81 +83,34 @@ fn run_point(gpus: u32, sim_secs: u64, shards: usize, threads: usize, args: &Arg
         let wall_best = best.as_ref().map_or(wall, |p| p.wall_best.min(wall));
         best = Some(Point {
             gpus,
-            threads,
             events: result.events_processed,
             wall_best,
             query_bad_rate: result.query_bad_rate,
             sim_secs,
-            stats,
         });
     }
     best.expect("REPS >= 1")
 }
 
-/// One human-readable line of work-partition statistics for a threaded
-/// point: how much of the event stream the worker pool drained in
-/// parallel, and how evenly the shards split that work.
-fn partition_line(p: &Point, s: &ExecStats) -> String {
-    let total = s.drained + s.side_scheduled;
-    let drained_pct = if total > 0 {
-        100.0 * s.drained as f64 / total as f64
-    } else {
-        0.0
-    };
-    let mean = s.drained as f64 / s.per_shard.len().max(1) as f64;
-    let max = s.per_shard.iter().copied().max().unwrap_or(0) as f64;
-    let balance = if mean > 0.0 { max / mean } else { 1.0 };
-    format!(
-        "  {} GPUs, {} threads, {} shards: {} windows; {:.1}% of {} events \
-         drained in parallel (per-shard max/mean {:.2}), {:.1}% scheduled \
-         in-window on the serial side path",
-        p.gpus,
-        s.threads,
-        s.per_shard.len(),
-        s.windows,
-        drained_pct,
-        total,
-        balance,
-        100.0 - drained_pct,
-    )
-}
-
 fn main() {
     let args = Args::parse(300);
-    // (GPU count, measured seconds, shards, threads) ladder. The 10k point
-    // always runs at quick length; everything else uses the configured
-    // horizon. The scaling rows at threads 2/4 are fixed — independent of
-    // `--threads` — so `--det-out` files keep an identical row set across
-    // thread flags and CI can byte-diff them; they run at >= 4 shards so
-    // the worker pool has per-shard drain jobs to partition (outputs are
-    // byte-identical either way — shards and threads are pure execution
-    // knobs — only the partition stats need the spread).
-    let scaling_shards = args.shards.max(4);
-    let gpu_points: Vec<(u32, u64, usize, usize)> = if args.quick {
-        vec![(25, args.secs, args.shards, args.threads)]
+    // (GPU count, measured seconds) ladder. The 10k point always runs at
+    // quick length; everything else uses the configured horizon.
+    let gpu_points: Vec<(u32, u64)> = if args.quick {
+        vec![(25, args.secs)]
     } else {
-        let mut points = vec![
-            (25, args.secs, args.shards, args.threads),
-            (50, args.secs, args.shards, args.threads),
-            (100, args.secs, args.shards, args.threads),
-            (1_000, args.secs, args.shards, args.threads),
-            (
-                10_000,
-                args.secs.min(BIG_POINT_SECS),
-                args.shards,
-                args.threads,
-            ),
-        ];
-        for t in SCALING_THREADS {
-            points.push((1_000, args.secs, scaling_shards, t));
-            points.push((10_000, args.secs.min(BIG_POINT_SECS), scaling_shards, t));
-        }
-        points
+        vec![
+            (25, args.secs),
+            (50, args.secs),
+            (100, args.secs),
+            (1_000, args.secs),
+            (10_000, args.secs.min(BIG_POINT_SECS)),
+        ]
     };
 
     let points: Vec<Point> = gpu_points
         .iter()
-        .map(|&(g, secs, sh, t)| run_point(g, secs, sh, t, &args))
+        .map(|&(g, secs)| run_point(g, secs, &args))
         .collect();
 
     let rows: Vec<Vec<String>> = points
@@ -182,7 +118,6 @@ fn main() {
         .map(|p| {
             vec![
                 p.gpus.to_string(),
-                p.threads.to_string(),
                 p.events.to_string(),
                 format!("{:.0}", p.wall_best * 1e3),
                 format!("{:.2}", p.events as f64 / p.wall_best / 1e6),
@@ -202,12 +137,11 @@ fn main() {
         .collect();
     print_table(
         &format!(
-            "simbench: Fig. 13 workload, {} simulated seconds (best of {REPS}, shards={})",
-            args.secs, args.shards
+            "simbench: Fig. 13 workload, {} simulated seconds (best of {REPS})",
+            args.secs
         ),
         &[
             "GPUs",
-            "thr",
             "events",
             "wall (ms)",
             "Mevents/s",
@@ -229,7 +163,7 @@ fn main() {
     let ns_per_event = |gpus: u32| {
         points
             .iter()
-            .find(|p| p.gpus == gpus && p.threads == args.threads)
+            .find(|p| p.gpus == gpus)
             .map(|p| p.wall_best / p.events as f64 * 1e9)
     };
     if let (Some(small), Some(big)) = (ns_per_event(1_000), ns_per_event(10_000)) {
@@ -239,23 +173,11 @@ fn main() {
         );
     }
 
-    let partition_lines: Vec<String> = points
-        .iter()
-        .filter_map(|p| p.stats.as_ref().map(|s| partition_line(p, s)))
-        .collect();
-    if !partition_lines.is_empty() {
-        println!("\nParallel executor work partition (threads > 1 rows):");
-        for line in &partition_lines {
-            println!("{line}");
-        }
-    }
-
-    let series: Vec<(u32, usize, u64, f64, f64, f64)> = points
+    let series: Vec<(u32, u64, f64, f64, f64)> = points
         .iter()
         .map(|p| {
             (
                 p.gpus,
-                p.threads,
                 p.events,
                 p.events as f64 / p.wall_best / 1e6,
                 p.sim_secs as f64 / p.wall_best,
@@ -264,18 +186,5 @@ fn main() {
         })
         .collect();
     write_json(&args, &series);
-
-    let det_series: Vec<(u32, u64, f64, f64, f64)> = points
-        .iter()
-        .map(|p| {
-            (
-                p.gpus,
-                p.events,
-                p.events as f64 / p.wall_best / 1e6,
-                p.sim_secs as f64 / p.wall_best,
-                p.query_bad_rate,
-            )
-        })
-        .collect();
-    write_det_json(&args, &det_series);
+    write_det_json(&args, &series);
 }

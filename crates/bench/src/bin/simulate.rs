@@ -70,8 +70,8 @@ fn main() {
             warmup,
             trace_capacity: if trace_path.is_some() { 2_000_000 } else { 0 },
             faults,
-            shards: nexus::default_shards(),
-            threads: nexus::default_threads(),
+            shards: 1,
+            threads: 1,
         },
         classes,
     )

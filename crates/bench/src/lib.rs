@@ -34,15 +34,6 @@ pub struct Args {
     /// support it run their headline simulation with tracing enabled and
     /// write the capture here (`nexus-trace export` renders it).
     pub trace: Option<PathBuf>,
-    /// Event-loop shard count (`--shards N`, ≥ 1). Sharding is a pure
-    /// scheduling-state partition: results are byte-identical at every
-    /// value, which ci.sh exploits as a determinism gate.
-    pub shards: usize,
-    /// Event-loop worker threads (`--threads N`, ≥ 1; defaults to
-    /// `NEXUS_SIM_THREADS`, else 1). Like shards, a pure execution knob:
-    /// the windowed parallel executor (DESIGN.md §14) is byte-identical
-    /// to the serial loop, and ci.sh diffs threads 1 vs 4 to prove it.
-    pub threads: usize,
     /// Optional deterministic-summary output path (`--det-out FILE`):
     /// only run outputs that must not vary between repeat runs (event
     /// counts, bad-rate bit patterns) — no wall-clock-derived numbers —
@@ -63,8 +54,6 @@ impl Args {
             quick: false,
             out: None,
             trace: None,
-            shards: 1,
-            threads: nexus::default_threads(),
             det_out: None,
         };
         let mut it = std::env::args().skip(1);
@@ -87,27 +76,13 @@ impl Args {
                 "--trace" => {
                     args.trace = Some(PathBuf::from(it.next().expect("--trace needs a path")))
                 }
-                "--shards" => {
-                    args.shards = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .expect("--shards needs an integer >= 1")
-                }
-                "--threads" => {
-                    args.threads = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .expect("--threads needs an integer >= 1")
-                }
                 "--det-out" => {
                     args.det_out = Some(PathBuf::from(it.next().expect("--det-out needs a path")))
                 }
                 other => panic!(
                     "unknown argument {other:?} \
-                     (supported: --seed N --secs N --quick --shards N \
-                     --threads N --out FILE --det-out FILE --trace FILE)"
+                     (supported: --seed N --secs N --quick --out FILE \
+                     --det-out FILE --trace FILE)"
                 ),
             }
         }
@@ -189,8 +164,7 @@ pub fn write_json<T: Serialize>(args: &Args, value: &T) {
 /// `--det-out` (if given): GPU count, event count, and the exact bit
 /// pattern of the bad rate — no wall-clock-derived numbers. Any two runs
 /// of the same workload must produce byte-identical files regardless of
-/// machine noise, `--shards`, or `--threads`; ci.sh diffs them as the
-/// shard- and thread-determinism gates.
+/// machine noise.
 pub fn write_det_json(args: &Args, series: &[(u32, u64, f64, f64, f64)]) {
     if let Some(path) = &args.det_out {
         let det: Vec<serde_json::Value> = series

@@ -7,14 +7,10 @@
 //! ran on one thread or sixteen — the parallelism lives strictly *between*
 //! simulations, never inside one.
 //!
-//! The fan-out rides the same [`WorkerPool`] that powers the simulator's
-//! windowed parallel executor (DESIGN.md §14): one process-wide pool,
-//! spawned on first use and reused across every sweep point and every
-//! `par_map` call, so a sweep binary never pays per-call thread spawns.
+//! Workers are scoped threads spawned per call: a sweep point costs
+//! milliseconds to seconds of simulation, so thread spawns are noise.
 
-use std::sync::{Mutex, OnceLock};
-
-use nexus_simgpu::WorkerPool;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of worker threads: `NEXUS_BENCH_THREADS` if set (0 or 1 forces
 /// serial), otherwise the machine's available parallelism.
@@ -31,26 +27,18 @@ pub fn thread_count() -> usize {
         .unwrap_or(1)
 }
 
-/// The process-wide sweep pool, sized once from [`thread_count`] on first
-/// use. `WorkerPool::run` already serializes overlapping calls; the outer
-/// `Mutex` only guards lazy construction and `&self` access.
-fn pool() -> &'static WorkerPool {
-    static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(|| WorkerPool::new(thread_count()))
-}
-
 /// Applies `f` to every item, fanning across threads, and returns results
 /// in input order.
 ///
-/// Each item is one pool job (the pool's claim counter gives cheap
-/// work-stealing — sweep points vary wildly in cost) writing its result
-/// into a per-index slot, so the output is identical to
+/// Workers claim items through a shared next-index counter (cheap
+/// work-stealing — sweep points vary wildly in cost) and results are
+/// placed back by index, so the output is identical to
 /// `items.iter().map(f).collect()` for any thread count.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any invocation of `f` (as the pool's
-/// "parallel worker panicked").
+/// Propagates a panic from any invocation of `f` as "parallel worker
+/// panicked", after every worker has been joined.
 ///
 /// # Examples
 ///
@@ -59,21 +47,39 @@ fn pool() -> &'static WorkerPool {
 /// assert_eq!(squares, vec![1, 4, 9, 16]);
 /// ```
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    if thread_count() <= 1 || items.len() <= 1 {
+    let workers = thread_count().min(items.len());
+    if workers <= 1 {
         return items.iter().map(f).collect();
     }
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    pool().run(items.len(), &|i| {
-        let r = f(&items[i]);
-        *slots[i].lock().expect("unpoisoned result slot") = Some(r);
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter only hands out indices; results travel
+            // back through `join`, which synchronizes.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let joined: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(claim)).collect();
+        handles.into_iter().map(|h| h.join()).collect()
     });
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    for done in joined {
+        let Ok(done) = done else {
+            panic!("parallel worker panicked");
+        };
+        for (i, r) in done {
+            slots[i] = Some(r);
+        }
+    }
     slots
         .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("unpoisoned result slot")
-                .expect("pool ran every job")
-        })
+        .map(|r| r.expect("every index claimed"))
         .collect()
 }
 

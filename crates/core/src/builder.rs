@@ -34,8 +34,6 @@ pub struct NexusClusterBuilder {
     trace_capacity: usize,
     classes: Vec<TrafficClass>,
     faults: Vec<FaultSpec>,
-    shards: usize,
-    threads: usize,
 }
 
 /// Per-session serving parameters derived from a control plan — what a
@@ -66,8 +64,6 @@ impl NexusCluster {
             trace_capacity: 0,
             classes: Vec::new(),
             faults: Vec::new(),
-            shards: 1,
-            threads: 1,
         }
     }
 
@@ -205,21 +201,6 @@ impl NexusClusterBuilder {
         self
     }
 
-    /// Sets the event-loop shard count (≥ 1). Purely a scheduling-state
-    /// partition: results are byte-identical at every value.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the event-loop worker-thread count (≥ 1). At ≥ 2 the windowed
-    /// parallel executor drains shard calendars concurrently (DESIGN.md
-    /// §14); results are byte-identical at every value.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Finalizes the builder.
     ///
     /// # Panics
@@ -238,8 +219,8 @@ impl NexusClusterBuilder {
                 warmup: self.warmup,
                 trace_capacity: self.trace_capacity,
                 faults: self.faults,
-                shards: self.shards,
-                threads: self.threads,
+                shards: 1,
+                threads: 1,
             },
             classes: self.classes,
         }

@@ -198,10 +198,21 @@ mod tests {
 
     #[test]
     fn summary_rolls_up_pools_on_mixed_fleets() {
-        use nexus_runtime::{run_heterogeneous, DevicePool};
-        let hetero = run_heterogeneous(
-            &SystemConfig::nexus().with_static_allocation(),
-            &[
+        use nexus_runtime::{ClusterSim, DevicePool, SimConfig};
+        let result = ClusterSim::try_new_pooled(
+            SimConfig {
+                system: SystemConfig::nexus().with_static_allocation(),
+                device: GPU_GTX1080TI,
+                max_gpus: 0, // derived from the pools
+                seed: 3,
+                horizon: Micros::from_secs(6),
+                warmup: Micros::from_secs(2),
+                trace_capacity: 0,
+                faults: vec![],
+                shards: 1,
+                threads: 1,
+            },
+            vec![
                 DevicePool {
                     device: GPU_GTX1080TI,
                     gpus: 4,
@@ -216,12 +227,10 @@ mod tests {
                 ArrivalKind::Uniform,
                 60.0,
             )],
-            3,
-            Micros::from_secs(2),
-            Micros::from_secs(6),
         )
-        .unwrap();
-        let text = render(&hetero.result);
+        .unwrap()
+        .run();
+        let text = render(&result);
         assert!(text.contains("Device pools:"), "{text}");
         assert!(text.contains("NVIDIA GTX 1080Ti"), "{text}");
         assert!(text.contains("NVIDIA K80"), "{text}");

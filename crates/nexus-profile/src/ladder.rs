@@ -11,7 +11,7 @@
 //!
 //! Everything here is derived deterministically from the profile alone:
 //! ladder choice at dispatch time is a pure function of queue state and the
-//! plan, which is what keeps sharded/threaded runs byte-identical.
+//! plan, which is what keeps runs replay-deterministic.
 
 use crate::profile::BatchingProfile;
 use crate::time::Micros;

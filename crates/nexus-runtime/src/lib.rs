@@ -25,13 +25,11 @@ pub use control::{
     RuntimeSession, TrafficClass,
 };
 pub use dispatch::{classify_drop, classify_edge_drop, BatchPull, DropPolicy, SessionQueue};
-pub use hetero::{
-    class_demand, place_classes, run_heterogeneous, DevicePool, HeteroResult, Placement,
-};
+pub use hetero::DevicePool;
 pub use histogram::LatencyHistogram;
 pub use live::{run_live, LiveConfig, LiveOutcome, LiveSession, LiveSessionOutcome};
 pub use metrics::{ClusterMetrics, FailureRecord, SessionMetrics, TimelineBucket};
-pub use nexus_simgpu::{ExecStats, FaultKind, FaultSchedule, FaultSpec};
+pub use nexus_simgpu::{FaultKind, FaultSchedule, FaultSpec};
 pub use request::{FinishedQuery, QueryId, QueryTracker, Request, RequestId, RequestOutcome};
 pub use singlenode::{
     fit_shared_batches, simulate_node, NodeConfig, NodeOutcome, NodeSession, NodeSessionStats,

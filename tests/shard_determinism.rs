@@ -1,89 +1,105 @@
-//! Sharding and threading determinism: the event-loop shard count is a
-//! pure scheduling-state partition (DESIGN.md §13) and the worker-thread
-//! count is a pure execution knob over it (DESIGN.md §14), so every
-//! observable output of a run — event counts, metrics, bad-rate bit
-//! patterns, even the execution trace — must be identical at any
-//! `(shards, threads)` combination.
+//! Replay determinism and the retained `SimConfig::{shards, threads}`
+//! fields: the event loop pops in a global `(time, seq)` order
+//! (DESIGN.md §13), so running the same configuration again must produce
+//! an identical result — event counts, metrics, bad-rate bit patterns,
+//! even the execution trace. The `shards` and `threads` fields no longer
+//! affect the simulation (they remain only so existing struct literals
+//! compile), so every run here also varies them and requires the result
+//! not to move.
 //!
 //! These tests compare the `Debug` rendering of the full [`SimResult`]:
 //! Rust formats `f64` as the shortest round-trippable string, so equal
 //! strings mean equal bit patterns for every float in the result, and the
 //! rendering covers the per-session/timeline metrics and captured trace
-//! wholesale. ci.sh enforces the same property end to end by byte-diffing
-//! simbench `--det-out` files at `--shards 1` vs `--shards 4` and
-//! `--threads 1` vs `--threads 4`, and by re-capturing the golden fig13
-//! trace with `NEXUS_SIM_SHARDS=4` and `NEXUS_SIM_THREADS=4`.
+//! wholesale. The network-chaos workload has its own replay check next to
+//! its conservation gate in `front_door_chaos.rs`.
 
 use nexus::prelude::*;
 use nexus_runtime::{FaultKind, FaultSpec, SimConfig};
-use nexus_simgpu::ParallelShardedQueue;
 use nexus_workload::apps;
 
-/// A small Fig. 13 deployment run (all seven applications, surge included)
-/// through the public `run_once_sharded` entry point.
-fn fig13_fingerprint(shards: usize, threads: usize) -> String {
+/// Renders the run at `(shards, threads) = (1, 1)` and asserts that every
+/// other `(shards, threads)` in `knobs` — each one a fresh replay of the
+/// same configuration — renders identically.
+fn identical_across(
+    what: &str,
+    knobs: &[(usize, usize)],
+    sim: impl Fn(usize, usize) -> SimResult,
+) -> String {
+    let reference = format!("{:?}", sim(1, 1));
+    for &(shards, threads) in knobs {
+        assert_eq!(
+            format!("{:?}", sim(shards, threads)),
+            reference,
+            "{what} diverged at shards={shards} threads={threads}"
+        );
+    }
+    reference
+}
+
+/// A small Fig. 13 deployment run (all seven applications, surge included).
+fn fig13(shards: usize, threads: usize) -> SimResult {
     let horizon = Micros::from_secs(6);
-    let result = run_once_sharded(
-        SystemConfig::nexus()
-            .with_epoch(Micros::from_secs(2))
-            .with_spread_factor(1.4),
-        GPU_K80,
-        8,
+    ClusterSim::new(
+        SimConfig {
+            system: SystemConfig::nexus()
+                .with_epoch(Micros::from_secs(2))
+                .with_spread_factor(1.4),
+            device: GPU_K80,
+            max_gpus: 8,
+            seed: 42,
+            horizon,
+            warmup: Micros::from_secs(2),
+            trace_capacity: 0,
+            faults: vec![],
+            shards,
+            threads,
+        },
         nexus::workloads::fig13_classes(horizon, 0.08),
-        42,
-        Micros::from_secs(2),
-        horizon,
-        shards,
-        threads,
-    );
-    format!("{result:?}")
+    )
+    .run()
 }
 
 #[test]
 fn fig13_results_are_identical_at_any_shard_count() {
-    let reference = fig13_fingerprint(1, 1);
-    // Sanity: the run actually did work before we compare fingerprints.
+    let reference = identical_across("fig13 run", &[(1, 1), (4, 1), (7, 1)], fig13);
+    // Sanity: the run actually did work.
     assert!(
         !reference.contains("events_processed: 0,"),
         "reference run processed no events"
     );
-    // 3 and 7 don't divide the backend count evenly — uneven shards must
-    // not change the merge order either.
-    for shards in [2, 3, 4, 7] {
-        assert_eq!(
-            fig13_fingerprint(shards, 1),
-            reference,
-            "sharded run diverged at shards={shards}"
-        );
-    }
 }
 
 #[test]
 fn fig13_results_are_identical_at_any_thread_count() {
-    let reference = fig13_fingerprint(1, 1);
+    let reference = identical_across("fig13 run", &[(1, 2), (4, 4)], fig13);
     assert!(
         !reference.contains("events_processed: 0,"),
         "reference run processed no events"
     );
-    // The full matrix of the acceptance gate: threads {1,2,4} across even
-    // and uneven shard counts (7 does not divide the backend count).
-    for shards in [1, 4, 7] {
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                fig13_fingerprint(shards, threads),
-                reference,
-                "parallel run diverged at shards={shards} threads={threads}"
-            );
-        }
-    }
+}
+
+/// The crash at 3 s and rejoin at 5 s of slot `slot`, as a fault schedule.
+fn crash_and_rejoin(slot: usize) -> Vec<FaultSpec> {
+    vec![
+        FaultSpec {
+            at: Micros::from_secs(3),
+            slot,
+            kind: FaultKind::Crash,
+        },
+        FaultSpec {
+            at: Micros::from_secs(5),
+            slot,
+            kind: FaultKind::Rejoin,
+        },
+    ]
 }
 
 /// Fault injection plus execution tracing through `ClusterSim` directly:
-/// crash/rejoin events route through the sharded mailboxes and the trace
-/// records per-batch timestamps, so this exercises the paths
-/// `run_once_sharded` leaves dormant.
-fn faulted_traced_fingerprint(shards: usize, threads: usize) -> String {
-    let result = ClusterSim::new(
+/// crash/rejoin events and per-batch trace timestamps exercise the paths
+/// `run_once` leaves dormant.
+fn faulted_traced(shards: usize, threads: usize) -> SimResult {
+    ClusterSim::new(
         SimConfig {
             system: SystemConfig::nexus().with_epoch(Micros::from_secs(2)),
             device: GPU_GTX1080TI,
@@ -92,18 +108,7 @@ fn faulted_traced_fingerprint(shards: usize, threads: usize) -> String {
             horizon: Micros::from_secs(8),
             warmup: Micros::from_secs(2),
             trace_capacity: 200_000,
-            faults: vec![
-                FaultSpec {
-                    at: Micros::from_secs(3),
-                    slot: 0,
-                    kind: FaultKind::Crash,
-                },
-                FaultSpec {
-                    at: Micros::from_secs(5),
-                    slot: 0,
-                    kind: FaultKind::Rejoin,
-                },
-            ],
+            faults: crash_and_rejoin(0),
             shards,
             threads,
         },
@@ -113,99 +118,72 @@ fn faulted_traced_fingerprint(shards: usize, threads: usize) -> String {
             150.0,
         )],
     )
-    .run();
-    format!("{result:?}")
+    .run()
 }
 
 #[test]
 fn faulted_traced_run_is_identical_at_any_shard_count() {
-    let reference = faulted_traced_fingerprint(1, 1);
+    let reference = identical_across(
+        "faulted+traced run",
+        &[(1, 1), (2, 1), (3, 1)],
+        faulted_traced,
+    );
     assert!(
         reference.contains("Batch {"),
         "reference run captured no trace events"
     );
-    for shards in [2, 3] {
-        assert_eq!(
-            faulted_traced_fingerprint(shards, 1),
-            reference,
-            "faulted+traced run diverged at shards={shards}"
-        );
-    }
 }
 
 #[test]
 fn faulted_traced_run_is_identical_at_any_thread_count() {
-    let reference = faulted_traced_fingerprint(1, 1);
+    let reference = identical_across(
+        "faulted+traced run",
+        &[(2, 2), (3, 4), (7, 2)],
+        faulted_traced,
+    );
     assert!(
         reference.contains("Batch {"),
         "reference run captured no trace events"
     );
-    // Fault schedules route crash/rejoin through cross-shard posts; the
-    // windowed executor must commit them in exactly the serial order.
-    for (shards, threads) in [(2, 2), (3, 4), (4, 4), (7, 2)] {
-        assert_eq!(
-            faulted_traced_fingerprint(shards, threads),
-            reference,
-            "faulted+traced run diverged at shards={shards} threads={threads}"
-        );
-    }
 }
 
-/// Mixed-pool determinism: a heterogeneous fleet (1080Ti + K80 pools) with
-/// faults and tracing enabled. Cross-pool stage handoffs route through the
-/// same sharded mailboxes as everything else, and backends are globally
-/// indexed across pools, so the `(shards, threads)` partition must stay a
-/// pure execution knob here too.
-fn mixed_pool_fingerprint(shards: usize, threads: usize) -> String {
-    let pools = vec![
-        DevicePool {
-            device: GPU_GTX1080TI,
-            gpus: 5,
-        },
-        DevicePool {
-            device: GPU_K80,
-            gpus: 4,
-        },
-    ];
-    let result = ClusterSim::try_new_pooled(
-        SimConfig {
-            system: SystemConfig::nexus().with_epoch(Micros::from_secs(2)),
-            device: GPU_GTX1080TI,
-            max_gpus: 0, // derived from the pools
-            seed: 11,
-            horizon: Micros::from_secs(8),
-            warmup: Micros::from_secs(2),
-            trace_capacity: 200_000,
-            faults: vec![
-                FaultSpec {
-                    at: Micros::from_secs(3),
-                    slot: 1,
-                    kind: FaultKind::Crash,
-                },
-                FaultSpec {
-                    at: Micros::from_secs(5),
-                    slot: 1,
-                    kind: FaultKind::Rejoin,
-                },
-            ],
-            shards,
-            threads,
-        },
-        pools,
-        vec![
-            TrafficClass::new(apps::game(), ArrivalKind::Uniform, 400.0),
-            TrafficClass::new(apps::traffic(), ArrivalKind::Poisson, 60.0),
-            TrafficClass::new(apps::dance(), ArrivalKind::Uniform, 15.0),
-        ],
-    )
-    .expect("pooled plan")
-    .run();
-    format!("{result:?}")
-}
-
+/// A heterogeneous fleet (1080Ti + K80 pools) with faults and tracing
+/// enabled: cross-pool stage handoffs and globally indexed backends.
 #[test]
 fn mixed_pool_run_is_identical_at_any_shard_and_thread_count() {
-    let reference = mixed_pool_fingerprint(1, 1);
+    let reference = identical_across("mixed-pool run", &[(1, 1), (4, 4)], |shards, threads| {
+        ClusterSim::try_new_pooled(
+            SimConfig {
+                system: SystemConfig::nexus().with_epoch(Micros::from_secs(2)),
+                device: GPU_GTX1080TI,
+                max_gpus: 0, // derived from the pools
+                seed: 11,
+                horizon: Micros::from_secs(8),
+                warmup: Micros::from_secs(2),
+                trace_capacity: 200_000,
+                faults: crash_and_rejoin(1),
+                shards,
+                threads,
+            },
+            vec![
+                DevicePool {
+                    device: GPU_GTX1080TI,
+                    gpus: 5,
+                },
+                DevicePool {
+                    device: GPU_K80,
+                    gpus: 4,
+                },
+            ],
+            vec![
+                TrafficClass::new(apps::game(), ArrivalKind::Uniform, 400.0),
+                TrafficClass::new(apps::traffic(), ArrivalKind::Poisson, 60.0),
+                TrafficClass::new(apps::dance(), ArrivalKind::Uniform, 15.0),
+            ],
+        )
+        .expect("pooled plan")
+        .run()
+    });
     assert!(
         reference.contains("Batch {"),
         "reference run captured no trace events"
@@ -216,65 +194,4 @@ fn mixed_pool_run_is_identical_at_any_shard_and_thread_count() {
         reference.contains("PoolStats { pool: 1"),
         "second pool missing from pool_stats"
     );
-    // The acceptance matrix: shards {1,4} × threads {1,4}, plus an uneven
-    // shard count that does not divide the backend total.
-    for (shards, threads) in [(1, 4), (4, 1), (4, 4), (3, 2)] {
-        assert_eq!(
-            mixed_pool_fingerprint(shards, threads),
-            reference,
-            "mixed-pool run diverged at shards={shards} threads={threads}"
-        );
-    }
-}
-
-/// Queue-level stress: flood same-timestamp cross-shard posts through the
-/// windowed executor at threads ≥ 2 and assert the committed pop stream
-/// matches the serial queue exactly. The cluster workloads above rarely
-/// produce long same-time runs; this test makes ties the common case.
-#[test]
-fn same_time_cross_shard_flood_matches_serial_order() {
-    for threads in [2, 4] {
-        let shards = 5;
-        let mut par: ParallelShardedQueue<u64> =
-            ParallelShardedQueue::new(shards, threads, Micros(100));
-        let mut serial: ParallelShardedQueue<u64> =
-            ParallelShardedQueue::new(shards, 1, Micros(100));
-
-        // Deterministic pseudo-random interleave of posts and pops, with
-        // heavy timestamp ties: only 4 distinct event times per wave.
-        let mut state = 0x9e37_79b9_u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut payload = 0u64;
-        for wave in 0u64..40 {
-            let base = wave * 50;
-            for _ in 0..200 {
-                let shard = (rng() % shards as u64) as usize;
-                let time = Micros(base + rng() % 4);
-                par.push_to(shard, time, payload);
-                serial.push_to(shard, time, payload);
-                payload += 1;
-            }
-            // Drain roughly half the wave before posting the next one, so
-            // later posts land inside already-committed windows.
-            for _ in 0..100 {
-                let a = par.pop();
-                let b = serial.pop();
-                assert_eq!(a, b, "threads={threads}: pop diverged mid-wave");
-            }
-        }
-        loop {
-            let a = par.pop();
-            let b = serial.pop();
-            assert_eq!(a, b, "threads={threads}: pop diverged at drain");
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(par.len(), 0);
-    }
 }
