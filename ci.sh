@@ -85,19 +85,25 @@ echo "== hetero smoke: committed mixed-fleet goodput-per-dollar point =="
 cargo run --release -q -p bench --bin hetero_smoke
 
 # ci-step: perfbench
-echo "== perfbench: benchmark tests + a short fig13-10k correctness run =="
+echo "== perfbench: benchmark tests + short fig13-10k and serve-open correctness runs =="
 # The repository benchmark (perfbench/, a package of its own) must pass its
 # own tests and finish a short fig13-10k run with every correctness check
 # holding: per-session conservation, and every repetition reproducing the
-# first one's fingerprint. Its last line is a JSON verdict; timing is never
-# gated.
+# first one's fingerprint. A short serve-open run must answer every submit
+# exactly once with the client's and the frontend's counts closing. Each
+# run's last line is a JSON verdict; timing is never gated.
 cargo test --offline --manifest-path perfbench/Cargo.toml
-perf_last="$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-  --workload fig13-10k --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-case "$perf_last" in
-  *'"correct": true,'*'"failed": 0,'*) echo "perfbench fig13-10k: correct, 0 failed" ;;
-  *) echo "perfbench fig13-10k run failed a correctness check: $perf_last"; exit 1 ;;
-esac
+perf_check() {
+  local last
+  last="$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload "$1" --seed 1 --seconds "$2" --trace 0 | tail -n 1)"
+  case "$last" in
+    *'"correct": true,'*'"failed": 0,'*) echo "perfbench $1: correct, 0 failed" ;;
+    *) echo "perfbench $1 run failed a correctness check: $last"; exit 1 ;;
+  esac
+}
+perf_check fig13-10k 1
+perf_check serve-open 2
 
 # ci-step: drift-check
 echo "== ci.sh <-> ci.yml drift check =="

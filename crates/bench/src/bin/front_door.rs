@@ -49,6 +49,10 @@ fn main() {
     println!("completed  : {} ({:.1}%)", s.completed, goodput * 100.0);
     println!("retried    : {}", s.retried);
     println!(
+        "connects   : {} dispatch connections opened",
+        s.dispatch_connects
+    );
+    println!(
         "epochs     : pushed {:?}, applied {:?}",
         report.pushed_epochs, report.applied_epochs
     );
@@ -73,6 +77,7 @@ fn main() {
     let _ = writeln!(json, "  \"submitted\": {},", s.submitted);
     let _ = writeln!(json, "  \"completed\": {},", s.completed);
     let _ = writeln!(json, "  \"retried\": {},", s.retried);
+    let _ = writeln!(json, "  \"dispatch_connects\": {},", s.dispatch_connects);
     let _ = writeln!(json, "  \"goodput\": {goodput:.4},");
     let mut drops = String::new();
     for (i, &n) in s.drops.iter().enumerate() {

@@ -115,15 +115,20 @@ pub fn max_sustainable_rate(slo: &SessionSlo) -> f64 {
     lo
 }
 
-/// Per-session admission state: an EWMA arrival-rate estimate and a
+/// Per-session admission state: an arrival-rate estimate and a
 /// deterministic thinning accumulator.
+///
+/// The rate is the reciprocal of an EWMA of inter-arrival gaps, not an
+/// EWMA of reciprocal gaps: for Poisson arrivals `E[1/gap]` is unbounded
+/// (short gaps dominate), so averaging `1/gap` reads well above the true
+/// rate and sheds load the queue could carry.
 #[derive(Debug, Clone)]
 pub struct AdmissionGate {
     slo: SessionSlo,
     /// λ* from the analytic model, requests/µs.
     sustainable: f64,
-    /// EWMA of the arrival rate, requests/µs. 0 until two arrivals seen.
-    rate: f64,
+    /// EWMA of the inter-arrival gap, µs. 0 until two arrivals seen.
+    gap: f64,
     last_arrival: Option<Micros>,
     /// Thinning credit: each arrival earns `λ*/λ`; admission spends 1.
     credit: f64,
@@ -132,10 +137,15 @@ pub struct AdmissionGate {
     shed: u64,
 }
 
-/// EWMA weight for each new inter-arrival sample. Small enough to ride
+/// EWMA weight for each new inter-arrival gap. Small enough to ride
 /// out single-packet jitter, large enough to track a rate step within a
 /// few tens of arrivals.
 const RATE_ALPHA: f64 = 0.05;
+
+/// Gaps the gate observes before it may shed: one EWMA window, 1/α.
+/// Until then the estimate rests on a handful of gaps, and a burst of
+/// clients opening at once would read as a sustained overload.
+const WARMUP_GAPS: u64 = (1.0 / RATE_ALPHA) as u64;
 
 impl AdmissionGate {
     /// A gate for one session.
@@ -144,7 +154,7 @@ impl AdmissionGate {
         AdmissionGate {
             slo,
             sustainable,
-            rate: 0.0,
+            gap: 0.0,
             last_arrival: None,
             credit: 0.0,
             admitted: 0,
@@ -163,9 +173,13 @@ impl AdmissionGate {
         self.sustainable
     }
 
-    /// Current arrival-rate estimate, requests/µs.
+    /// Current arrival-rate estimate, requests/µs (0 until two arrivals).
     pub fn observed_rate(&self) -> f64 {
-        self.rate
+        if self.gap > 0.0 {
+            1.0 / self.gap
+        } else {
+            0.0
+        }
     }
 
     /// Counters: (admitted, dropped doomed, shed by the overload gate).
@@ -178,13 +192,14 @@ impl AdmissionGate {
         // Rate estimate first: every arrival is load, even one we drop.
         if let Some(last) = self.last_arrival {
             let dt = now.saturating_sub(last).as_micros().max(1) as f64;
-            self.rate = if self.rate == 0.0 {
-                1.0 / dt
+            self.gap = if self.gap == 0.0 {
+                dt
             } else {
-                (1.0 - RATE_ALPHA) * self.rate + RATE_ALPHA / dt
+                (1.0 - RATE_ALPHA) * self.gap + RATE_ALPHA * dt
             };
         }
         self.last_arrival = Some(now);
+        let rate = self.observed_rate();
 
         // §5.2 doomed check against the execution floor.
         if deadline < now + self.slo.ell_min {
@@ -193,8 +208,11 @@ impl AdmissionGate {
         }
 
         // Overload gate: thin to λ* when the observed rate exceeds it.
-        if self.rate > self.sustainable && self.sustainable > 0.0 {
-            self.credit += self.sustainable / self.rate;
+        // Every earlier arrival bumped exactly one counter, so their sum
+        // is the number of gaps seen, this arrival's included.
+        let gaps = self.admitted + self.doomed + self.shed;
+        if gaps >= WARMUP_GAPS && rate > self.sustainable && self.sustainable > 0.0 {
+            self.credit += self.sustainable / rate;
             if self.credit >= 1.0 {
                 self.credit -= 1.0;
             } else {
@@ -305,5 +323,46 @@ mod tests {
         }
         let (admitted, doomed, shed) = gate.counters();
         assert_eq!((admitted, doomed, shed), (1000, 0, 0));
+    }
+
+    #[test]
+    fn a_burst_at_start_up_is_not_mistaken_for_overload() {
+        // Clients opening together: their first submits land microseconds
+        // apart, far above λ* if two gaps were a rate.
+        let slo = slo_100ms();
+        let mut gate = AdmissionGate::new(slo);
+        let mut now = Micros::from_secs(1);
+        for _ in 0..8 {
+            now += Micros::from_micros(1);
+            assert_eq!(gate.admit(now, now + slo.slo), Decision::Admit);
+        }
+        assert!(gate.observed_rate() > gate.sustainable_rate());
+    }
+
+    #[test]
+    fn poisson_arrivals_at_half_the_sustainable_rate_are_neither_shed_nor_overestimated() {
+        use nexus_workload::{exp_sample, rng_for};
+
+        let slo = slo_100ms();
+        let mut gate = AdmissionGate::new(slo);
+        let lambda = gate.sustainable_rate() / 2.0;
+        let mut rng = rng_for(7, 0xad);
+        let mut t = 0.0f64;
+        let mut estimates = Vec::new();
+        for i in 0..4000 {
+            t += exp_sample(&mut rng, lambda);
+            let now = Micros::from_micros(t.round() as u64);
+            assert_ne!(gate.admit(now, now + slo.slo), Decision::DropOverload);
+            // Past the EWMA's warm-up, record what the gate believes.
+            if i >= 100 {
+                estimates.push(gate.observed_rate());
+            }
+        }
+        assert_eq!(gate.counters().2, 0, "no overload sheds below λ*");
+        let mean = estimates.iter().sum::<f64>() / estimates.len() as f64;
+        assert!(
+            (mean / lambda - 1.0).abs() <= 0.15,
+            "estimated {mean} vs true {lambda} requests/µs"
+        );
     }
 }

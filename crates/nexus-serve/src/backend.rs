@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use crate::proto::{read_frame, write_frame, Msg, ProtoError};
+use crate::proto::{read_frame, wake_and_join_accept, write_frame, Msg, ProtoError};
 
 /// How a backend turns a request's nominal cost into wall-clock work.
 pub trait BackendModel: Send + Sync + 'static {
@@ -50,8 +50,6 @@ impl BackendModel for ScaledSleepModel {
     }
 }
 
-/// Poll interval for the non-blocking accept loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
 /// Per-connection read timeout; bounds how long a handler thread takes
 /// to notice a shutdown or kill flag.
 const READ_POLL: Duration = Duration::from_millis(25);
@@ -106,7 +104,7 @@ impl BackendHandle {
     pub fn shutdown(mut self) -> usize {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            wake_and_join_accept(self.addr, t);
         }
         let handlers =
             std::mem::take(&mut *self.shared.handlers.lock().expect("handler list poisoned"));
@@ -121,7 +119,6 @@ impl BackendHandle {
 /// Spawns a backend listening on `127.0.0.1:0` (kernel-assigned port).
 pub fn spawn_backend(model: impl BackendModel) -> io::Result<BackendHandle> {
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
         model: Box::new(model),
@@ -143,31 +140,26 @@ pub fn spawn_backend(model: impl BackendModel) -> io::Result<BackendHandle> {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.killed.load(Ordering::SeqCst) {
-                    // A killed backend accepts nothing: drop the socket
-                    // on the floor like a crashed process would.
-                    drop(stream);
-                    continue;
-                }
-                let conn_shared = Arc::clone(&shared);
-                let handle = thread::Builder::new()
-                    .name("backend-conn".into())
-                    .spawn(move || handle_conn(stream, conn_shared))
-                    .expect("spawn backend connection handler");
-                let mut handlers = shared.handlers.lock().expect("handler list poisoned");
-                // Opportunistically reap finished handlers so a long
-                // soak with many short probe connections stays bounded.
-                handlers.retain(|h| !h.is_finished());
-                handlers.push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => break,
+    // Blocking accept: `shutdown` wakes it with a connect of its own.
+    while let Ok((stream, _)) = listener.accept() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
         }
+        // A killed backend accepts nothing: drop the socket on the floor
+        // like a crashed process would.
+        if shared.killed.load(Ordering::SeqCst) || stream.set_nodelay(true).is_err() {
+            continue;
+        }
+        let conn_shared = Arc::clone(&shared);
+        let handle = thread::Builder::new()
+            .name("backend-conn".into())
+            .spawn(move || handle_conn(stream, conn_shared))
+            .expect("spawn backend connection handler");
+        let mut handlers = shared.handlers.lock().expect("handler list poisoned");
+        // Opportunistically reap finished handlers so a long soak with
+        // many short probe connections stays bounded.
+        handlers.retain(|h| !h.is_finished());
+        handlers.push(handle);
     }
 }
 

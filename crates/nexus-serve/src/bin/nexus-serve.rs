@@ -108,6 +108,7 @@ fn main() {
         "probes            : {} sent, {} missed",
         s.probes_sent, s.probe_misses
     );
+    println!("dispatch connects : {}", s.dispatch_connects);
     println!(
         "threads joined    : {} frontend + {} backend handlers",
         report.frontend_handlers_joined, report.backend_handlers_joined

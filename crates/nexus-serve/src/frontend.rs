@@ -21,7 +21,7 @@ use nexus_profile::Micros;
 use nexus_runtime::DropCause;
 
 use crate::admission::{AdmissionGate, SessionSlo};
-use crate::proto::{read_frame, write_frame, Msg, ProtoError, Verdict};
+use crate::proto::{read_frame, wake_and_join_accept, write_frame, Msg, ProtoError, Verdict};
 use crate::registry::{BackendRegistry, RegistryConfig, Transition};
 use crate::routing::EpochRouter;
 
@@ -105,6 +105,7 @@ struct Stats {
     /// the soak gate asserts this stays zero: a retry that cannot fit
     /// the remaining budget must be dropped, not sent.
     budget_violations: AtomicU64,
+    dispatch_connects: AtomicU64,
 }
 
 /// A point-in-time copy of the frontend counters.
@@ -126,6 +127,9 @@ pub struct StatsSnapshot {
     pub probe_misses: u64,
     /// Completed requests that overran their budget (must stay 0).
     pub budget_violations: u64,
+    /// Fresh frontend→backend dispatch connections opened (a dispatch
+    /// that reuses an idle pooled connection does not count).
+    pub dispatch_connects: u64,
 }
 
 impl StatsSnapshot {
@@ -147,13 +151,16 @@ struct Core {
     router: Mutex<EpochRouter>,
     gates: Mutex<Vec<AdmissionGate>>,
     transitions: Mutex<Vec<Transition>>,
+    /// Idle dispatch connections, one stack per backend. A connection is
+    /// only ever pushed back after a clean matching reply, so whatever
+    /// is popped has nothing left to read; concurrent dispatchers bound
+    /// the stack sizes.
+    idle: Vec<Mutex<Vec<TcpStream>>>,
     stats: Stats,
     shutdown: AtomicBool,
     handlers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// Poll interval for the non-blocking accept loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
 /// Per-connection read timeout (shutdown responsiveness bound).
 const READ_POLL: Duration = Duration::from_millis(25);
 
@@ -183,6 +190,7 @@ impl FrontendHandle {
             probes_sent: s.probes_sent.load(Ordering::SeqCst),
             probe_misses: s.probe_misses.load(Ordering::SeqCst),
             budget_violations: s.budget_violations.load(Ordering::SeqCst),
+            dispatch_connects: s.dispatch_connects.load(Ordering::SeqCst),
         }
     }
 
@@ -219,7 +227,7 @@ impl FrontendHandle {
     pub fn shutdown(mut self) -> usize {
         self.core.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            wake_and_join_accept(self.addr, t);
         }
         if let Some(t) = self.prober_thread.take() {
             let _ = t.join();
@@ -237,11 +245,15 @@ impl FrontendHandle {
 /// Spawns a frontend on `127.0.0.1:0` with its prober running.
 pub fn spawn_frontend(cfg: FrontendConfig) -> io::Result<FrontendHandle> {
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let registry = BackendRegistry::new(cfg.backends.len(), cfg.registry);
     let gates: Vec<AdmissionGate> = cfg.slos.iter().map(|s| AdmissionGate::new(*s)).collect();
     let router = EpochRouter::new(cfg.sunset_grace);
+    let idle = cfg
+        .backends
+        .iter()
+        .map(|_| Mutex::new(Vec::new()))
+        .collect();
     let core = Arc::new(Core {
         cfg,
         clock: Clock::new(),
@@ -249,6 +261,7 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> io::Result<FrontendHandle> {
         router: Mutex::new(router),
         gates: Mutex::new(gates),
         transitions: Mutex::new(Vec::new()),
+        idle,
         stats: Stats::default(),
         shutdown: AtomicBool::new(false),
         handlers: Mutex::new(Vec::new()),
@@ -270,23 +283,22 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> io::Result<FrontendHandle> {
 }
 
 fn accept_loop(listener: TcpListener, core: Arc<Core>) {
-    while !core.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let conn_core = Arc::clone(&core);
-                let handle = thread::Builder::new()
-                    .name("frontend-conn".into())
-                    .spawn(move || handle_conn(stream, conn_core))
-                    .expect("spawn frontend connection handler");
-                let mut handlers = core.handlers.lock().expect("handler list poisoned");
-                handlers.retain(|h| !h.is_finished());
-                handlers.push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => break,
+    // Blocking accept: `shutdown` wakes it with a connect of its own.
+    while let Ok((stream, _)) = listener.accept() {
+        if core.shutdown.load(Ordering::SeqCst) {
+            return;
         }
+        if stream.set_nodelay(true).is_err() {
+            continue;
+        }
+        let conn_core = Arc::clone(&core);
+        let handle = thread::Builder::new()
+            .name("frontend-conn".into())
+            .spawn(move || handle_conn(stream, conn_core))
+            .expect("spawn frontend connection handler");
+        let mut handlers = core.handlers.lock().expect("handler list poisoned");
+        handlers.retain(|h| !h.is_finished());
+        handlers.push(handle);
     }
 }
 
@@ -454,8 +466,12 @@ fn finish_completed(core: &Core, request: u64, t0: Micros, budget: Micros, retri
     }
 }
 
-/// One dispatch attempt: connect, send `Exec`, await `ExecDone`, all
-/// bounded by the request's remaining deadline budget.
+/// One dispatch attempt: take an idle connection to `backend` (or open
+/// one), send `Exec`, await `ExecDone`, all bounded by the request's
+/// remaining deadline budget. The connection goes back to the idle stack
+/// only after a matching `ExecDone { ok: true }`; any error, timeout,
+/// foreign request id or failed execution drops it, so a late reply can
+/// never be read as a later request's answer.
 fn dispatch(
     core: &Core,
     backend: u32,
@@ -464,16 +480,28 @@ fn dispatch(
     slo: &SessionSlo,
     deadline: Micros,
 ) -> bool {
-    let addr = core.cfg.backends[backend as usize];
     let remaining = deadline.saturating_sub(core.clock.now());
     if remaining == Micros::ZERO {
         return false;
     }
     let timeout = Duration::from_micros(remaining.as_micros());
-    let Ok(stream) = TcpStream::connect_timeout(&addr, timeout) else {
-        return false;
+    let idle = &core.idle[backend as usize];
+    let pooled = idle.lock().expect("idle pool poisoned").pop();
+    let mut stream = match pooled {
+        Some(stream) => stream,
+        None => {
+            let addr = core.cfg.backends[backend as usize];
+            let Ok(stream) = TcpStream::connect_timeout(&addr, timeout) else {
+                return false;
+            };
+            core.stats.dispatch_connects.fetch_add(1, Ordering::SeqCst);
+            if stream.set_nodelay(true).is_err() {
+                return false;
+            }
+            stream
+        }
     };
-    let mut stream = stream;
+    // A pooled socket still carries the previous request's timeouts.
     if stream.set_read_timeout(Some(timeout)).is_err()
         || stream.set_write_timeout(Some(timeout)).is_err()
     {
@@ -487,10 +515,14 @@ fn dispatch(
     if write_frame(&mut stream, &exec).is_err() {
         return false;
     }
-    matches!(
+    let ok = matches!(
         read_frame(&mut stream),
         Ok(Msg::ExecDone { request: r, ok: true }) if r == request
-    )
+    );
+    if ok {
+        idle.lock().expect("idle pool poisoned").push(stream);
+    }
+    ok
 }
 
 fn prober_loop(core: Arc<Core>) {
@@ -528,12 +560,16 @@ fn prober_loop(core: Arc<Core>) {
 }
 
 /// One short-lived health probe: connect, ping, await the echoed pong.
+/// Probes never use the dispatch pool: only a fresh connect shows that
+/// the backend still accepts and answers new connections, which a
+/// crashed one does not.
 fn probe(addr: SocketAddr, seq: u64, timeout: Duration) -> bool {
     let Ok(stream) = TcpStream::connect_timeout(&addr, timeout) else {
         return false;
     };
     let mut stream = stream;
-    if stream.set_read_timeout(Some(timeout)).is_err()
+    if stream.set_nodelay(true).is_err()
+        || stream.set_read_timeout(Some(timeout)).is_err()
         || stream.set_write_timeout(Some(timeout)).is_err()
     {
         return false;

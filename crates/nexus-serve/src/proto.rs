@@ -22,6 +22,9 @@
 
 use std::fmt;
 use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
 use nexus_runtime::DropCause;
 
@@ -211,6 +214,11 @@ const TAG_EPOCH_ACK: u8 = 10;
 /// Encodes `msg` (payload only, no length prefix) into `buf`.
 pub fn encode(msg: &Msg, buf: &mut Vec<u8>) {
     buf.clear();
+    append_payload(msg, buf);
+}
+
+/// Appends `msg`'s payload to `buf`, keeping whatever `buf` already holds.
+fn append_payload(msg: &Msg, buf: &mut Vec<u8>) {
     match msg {
         Msg::Submit {
             request,
@@ -378,14 +386,18 @@ pub fn decode(payload: &[u8]) -> Result<Msg, ProtoError> {
     Ok(msg)
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write_all`. Header
+/// and payload share one buffer so the frame leaves in one segment: a
+/// split header would sit in the kernel behind Nagle's algorithm until
+/// the peer acknowledged it.
 pub fn write_frame(w: &mut impl Write, msg: &Msg) -> Result<(), ProtoError> {
-    let mut payload = Vec::with_capacity(32);
-    encode(msg, &mut payload);
-    let len = u32::try_from(payload.len()).expect("payload fits u32");
+    let mut frame = Vec::with_capacity(36);
+    frame.extend_from_slice(&[0; 4]);
+    append_payload(msg, &mut frame);
+    let len = u32::try_from(frame.len() - 4).expect("payload fits u32");
     debug_assert!(len <= MAX_FRAME);
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&payload)?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -446,6 +458,20 @@ pub fn read_frame(r: &mut impl Read) -> Result<Msg, ProtoError> {
     let mut payload = vec![0u8; len as usize];
     read_full(r, &mut payload, false)?;
     decode(&payload)
+}
+
+/// Stops a blocking accept loop listening on `addr` whose shutdown flag
+/// the caller has already raised, and joins its thread. A connect that
+/// lands wakes the blocked `accept`, and the loop sees the flag on its
+/// next turn; a connect that fails is retried until the thread is gone,
+/// so a lost wake cannot hang the join.
+pub(crate) fn wake_and_join_accept(addr: SocketAddr, accept: JoinHandle<()>) {
+    while !accept.is_finished()
+        && TcpStream::connect_timeout(&addr, Duration::from_millis(25)).is_err()
+    {
+        thread::sleep(Duration::from_millis(1));
+    }
+    let _ = accept.join();
 }
 
 #[cfg(test)]
@@ -561,6 +587,40 @@ mod tests {
         // Stream exhausted: the next read is a clean EOF error, not a
         // panic.
         assert!(matches!(read_frame(&mut rd), Err(ProtoError::Io(_))));
+    }
+
+    /// A `Write` that counts the calls it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_of_header_and_payload() {
+        for msg in all_messages() {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &msg).expect("write");
+            assert_eq!(w.writes, 1, "{msg:?} took {} writes", w.writes);
+            // Byte-identical to the length header followed by `encode`.
+            let mut payload = Vec::new();
+            encode(&msg, &mut payload);
+            let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+            expected.extend_from_slice(&payload);
+            assert_eq!(w.bytes, expected);
+        }
     }
 
     #[test]

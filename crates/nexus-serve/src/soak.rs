@@ -199,6 +199,7 @@ fn push_epoch(
     backends: &[u32],
 ) -> Result<(), SoakError> {
     let mut conn = TcpStream::connect(frontend.addr).map_err(SoakError::Io)?;
+    conn.set_nodelay(true).map_err(SoakError::Io)?;
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .map_err(SoakError::Io)?;
     write_frame(&mut conn, &Msg::EpochBegin { epoch })?;
@@ -247,9 +248,10 @@ fn client_loop(
     };
     // Generous read timeout: the frontend answers within the budget plus
     // scheduling noise; a silent submit is exactly what the gate hunts.
-    if conn
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .is_err()
+    if conn.set_nodelay(true).is_err()
+        || conn
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .is_err()
     {
         tally
             .io_errors

@@ -179,3 +179,167 @@ fn submits_for_unknown_sessions_drop_with_no_route() {
     frontend.shutdown();
     backend.shutdown();
 }
+
+mod dispatch_connections {
+    use std::net::{SocketAddr, TcpStream};
+    use std::time::Duration;
+
+    use nexus_profile::Micros;
+    use nexus_runtime::DropCause;
+    use nexus_serve::proto::{read_frame, write_frame, Msg, Verdict};
+    use nexus_serve::{
+        spawn_backend, spawn_frontend, BackendHandle, FrontendConfig, FrontendHandle, InstantModel,
+        RegistryConfig, SessionSlo,
+    };
+
+    const BUDGET_US: u64 = 100_000;
+
+    /// A frontend over `backends` serving one session routed to all of
+    /// them under epoch 1, and a client connection to it.
+    fn serve(backends: &[BackendHandle]) -> (FrontendHandle, TcpStream) {
+        let frontend = spawn_frontend(FrontendConfig {
+            backends: backends.iter().map(|b| b.addr).collect(),
+            registry: RegistryConfig::default(),
+            sunset_grace: Micros::from_millis(100),
+            // λ* far above what one client's back-to-back submits reach:
+            // these tests are about connections, not admission.
+            slos: vec![SessionSlo {
+                slo: Micros::from_micros(BUDGET_US),
+                ell_min: Micros::from_micros(200),
+                ell_b: Micros::from_micros(400),
+                batch: 64,
+            }],
+        })
+        .expect("frontend");
+        push_epoch(frontend.addr, (0..backends.len() as u32).collect());
+        let conn = TcpStream::connect(frontend.addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        (frontend, conn)
+    }
+
+    fn push_epoch(addr: SocketAddr, backends: Vec<u32>) {
+        let mut conn = TcpStream::connect(addr).expect("control connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        write_frame(&mut conn, &Msg::EpochBegin { epoch: 1 }).expect("begin");
+        write_frame(
+            &mut conn,
+            &Msg::EpochRoute {
+                session: 0,
+                backends,
+            },
+        )
+        .expect("route");
+        write_frame(&mut conn, &Msg::EpochCommit { epoch: 1 }).expect("commit");
+        assert_eq!(
+            read_frame(&mut conn).expect("ack"),
+            Msg::EpochAck { epoch: 1 }
+        );
+    }
+
+    /// Submits `request` for session 0 and returns its verdict and
+    /// whether it was retried, checking the reply is its own.
+    fn submit(conn: &mut TcpStream, request: u64) -> (Verdict, bool) {
+        let submit = Msg::Submit {
+            request,
+            session: 0,
+            budget_us: BUDGET_US,
+        };
+        write_frame(conn, &submit).expect("submit");
+        match read_frame(conn).expect("done") {
+            Msg::Done {
+                request: r,
+                verdict,
+                retried,
+                ..
+            } => {
+                assert_eq!(r, request, "answer belongs to another request");
+                (verdict, retried)
+            }
+            other => panic!("unexpected reply: {other:?}"),
+        }
+    }
+
+    fn shutdown(frontend: FrontendHandle, conn: TcpStream, backends: Vec<BackendHandle>) {
+        drop(conn);
+        frontend.shutdown();
+        for b in backends {
+            b.shutdown();
+        }
+    }
+
+    #[test]
+    fn sequential_submits_open_at_most_one_connection_per_backend() {
+        let backends: Vec<_> = (0..3)
+            .map(|_| spawn_backend(InstantModel).expect("backend"))
+            .collect();
+        let (frontend, mut conn) = serve(&backends);
+        for request in 0..40 {
+            assert_eq!(submit(&mut conn, request), (Verdict::Completed, false));
+        }
+        let stats = frontend.stats();
+        assert_eq!(stats.completed, 40);
+        assert!(
+            stats.dispatch_connects <= 3,
+            "{} dispatch connections for 3 backends",
+            stats.dispatch_connects
+        );
+        shutdown(frontend, conn, backends);
+    }
+
+    #[test]
+    fn a_killed_backend_behind_a_warm_connection_fails_over_by_retry() {
+        let backends: Vec<_> = (0..2)
+            .map(|_| spawn_backend(InstantModel).expect("backend"))
+            .collect();
+        let (frontend, mut conn) = serve(&backends);
+        // Warm both backends' pooled connections.
+        for request in 0..4 {
+            assert_eq!(submit(&mut conn, request), (Verdict::Completed, false));
+        }
+        assert_eq!(frontend.stats().dispatch_connects, 2);
+
+        backends[0].kill();
+        // Round robin sends one of the next two submits to the corpse
+        // over its pooled connection; that one completes on the other
+        // backend by retry.
+        let answers: Vec<_> = (4..6).map(|request| submit(&mut conn, request)).collect();
+        assert!(
+            answers.iter().all(|&(v, _)| v == Verdict::Completed),
+            "{answers:?}"
+        );
+        assert!(answers.iter().any(|&(_, retried)| retried), "{answers:?}");
+        let stats = frontend.stats();
+        assert!(stats.retried >= 1);
+        assert_eq!(stats.budget_violations, 0);
+        shutdown(frontend, conn, backends);
+    }
+
+    #[test]
+    fn a_timed_out_dispatch_discards_its_connection() {
+        let backends = vec![spawn_backend(InstantModel).expect("backend")];
+        let (frontend, mut conn) = serve(&backends);
+        assert_eq!(submit(&mut conn, 1), (Verdict::Completed, false));
+
+        // The backend now answers only after the budget has run out: the
+        // only backend times out, nothing is left to retry on.
+        backends[0].set_exec_delay_us(2 * BUDGET_US);
+        assert_eq!(
+            submit(&mut conn, 2),
+            (Verdict::Dropped(DropCause::Stranded), false)
+        );
+
+        // Were the timed-out connection pooled again, this submit would
+        // read request 2's late answer; `submit` checks the id.
+        backends[0].set_exec_delay_us(0);
+        assert_eq!(submit(&mut conn, 3), (Verdict::Completed, false));
+        let stats = frontend.stats();
+        assert_eq!(
+            stats.dispatch_connects, 2,
+            "the timed-out socket was reused"
+        );
+        assert!(stats.accounted());
+        shutdown(frontend, conn, backends);
+    }
+}
